@@ -103,7 +103,7 @@ def cmd_analyze(args) -> int:
     say(f"[maxplus] unique maximizing orbit spells "
         f"{word_to_string(word) or '-'} (period {len(word)})")
 
-    report = build_duality_report(pot, _base_point(args, pot.alphabet_size))
+    report = build_duality_report(pot, _base_point(args, pot.alphabet_size), cs)
     say(f"[duality] gamma = {_rat(report.gamma)}, "
         f"base point {report.base_point}")
     n_optimal = sorted({len(s) for s in report.optimal_w_per_x})

@@ -3,10 +3,16 @@ relations, and the b-function with its constant γ.
 
 The kernel W(w, x) couples a backward (w) and a forward (x) copy of the
 shift.  For a depth-k potential the coupling sum telescopes after k-1
-terms, so W is a finite table over pairs of length-(k-1) prefixes — but
-that table is quadratic in the node count, so it is materialized one
-x-column at a time; building the dual potential only ever touches d+1
-columns.
+terms, so W is a finite table over pairs of length-(k-1) prefixes.  It
+is held as one n×n integer array over one denominator (rows w-nodes,
+columns x-nodes), built by index arithmetic on the base-d numerals of
+the windows each term reads.  The dual potential, its defining
+identity, the b-table and the FR/FR1 sweep are array expressions over
+that table and the max-plus layer's rational vectors, all brought to a
+common denominator.  The arrays are int64 when a magnitude bound proves
+that no sum can overflow (the rule of the max-plus layer) and Python
+integers otherwise; both are exact, and every identity is checked on
+every pair at every size.
 
 The deviation function on w-cylinders is represented by its infimum
 J* = min-cost-to-critical on the dual graph: the supremum over infinite
@@ -20,8 +26,12 @@ per-edge deviation J*(e) = R*(e) + J*(target(e)).
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from .errors import InvalidInputError, InvariantViolation, PreconditionError
 from .graph import DeBruijnGraph, build_de_bruijn
@@ -29,6 +39,8 @@ from .maxplus import (
     CriticalStructure,
     ErrorFunction,
     Subaction,
+    _scaled_weights,
+    _vector_safe,
     calibrated_subaction,
     error_function,
     is_coboundary,
@@ -36,9 +48,9 @@ from .maxplus import (
     min_cost_to_critical,
 )
 from .potentials import LocallyConstantPotential
-from .words import EventuallyPeriodicPoint, Word, periodic_point, word_to_string
+from .words import (EventuallyPeriodicPoint, Word, periodic_point, word_at_index,
+                    word_index, word_to_string)
 
-_EXHAUSTIVE_PAIR_LIMIT = 1 << 16   # full identity sweeps below this many pairs
 _REPORT_NODE_LIMIT = 256           # b-tables are quadratic in the node count
 
 
@@ -46,8 +58,23 @@ def default_base_point(alphabet_size: int) -> EventuallyPeriodicPoint:
     return periodic_point((0,), alphabet_size)
 
 
+def _int_dtype(bounds: Iterable[int], terms: int):
+    """int64 when a sum of `terms` entries bounded by max(bounds) cannot
+    overflow (the max-plus layer's rule), Python integers otherwise."""
+    return np.int64 if _vector_safe(list(bounds), terms) else object
+
+
+def _fraction_rows(table: np.ndarray, denom: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of table / denom as Fractions; equal entries share one."""
+    rows = table.tolist()
+    memo = {v: Fraction(v, denom) for v in set().union(*rows)}
+    return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+
+
 class KernelTable:
-    """W(w, x) over pairs of length-(k-1) prefixes, computed lazily.
+    """W(w, x) = table[w, x] / denom over pairs of length-(k-1)
+    prefixes: rows are w-nodes, columns x-nodes, entries int64 or
+    Python integers.
 
     Entry formula: W(w, x) = sum over n = 0..k-2 of
     A(w_n ... w_0 x) - A(w_n ... w_0 x̄); later terms vanish because both
@@ -55,85 +82,75 @@ class KernelTable:
     """
 
     def __init__(self, potential: LocallyConstantPotential,
-                 base_point: EventuallyPeriodicPoint):
-        if base_point.alphabet_size != potential.alphabet_size:
-            raise InvalidInputError("base point and potential alphabets differ")
+                 base_point: EventuallyPeriodicPoint,
+                 table: np.ndarray, denom: int):
         self.potential = potential
         self.base_point = base_point
         self.alphabet_size = potential.alphabet_size
         self.depth = potential.depth
-        self.n_prefixes = self.alphabet_size ** (self.depth - 1)
-        self._base_prefix = base_point.prefix(self.depth - 1)
-        self._columns: dict[int, tuple[Fraction, ...]] = {}
-
-    def _prefix_word(self, idx: int) -> Word:
-        from .words import word_at_index
-        return word_at_index(idx, self.alphabet_size, self.depth - 1)
-
-    def _entry(self, w_word: Word, x_word: Word) -> Fraction:
-        a = self.potential
-        k = self.depth
-        total = Fraction(0)
-        for n in range(k - 1):
-            head = w_word[n::-1]           # (w_n, ..., w_0)
-            tail_len = k - 1 - n
-            total += a.value(head + x_word[:tail_len]) \
-                - a.value(head + self._base_prefix[:tail_len])
-        return total
-
-    def column(self, x_idx: int) -> tuple[Fraction, ...]:
-        """All w-node values against one x-node, cached."""
-        col = self._columns.get(x_idx)
-        if col is None:
-            x_word = self._prefix_word(x_idx)
-            col = tuple(self._entry(self._prefix_word(p), x_word)
-                        for p in range(self.n_prefixes))
-            self._columns[x_idx] = col
-        return col
+        self.n_prefixes = table.shape[0]
+        self.table = table
+        self.denom = denom
 
     def value(self, w_idx: int, x_idx: int) -> Fraction:
-        return self.column(x_idx)[w_idx]
-
-    def value_words(self, w_word: Word, x_word: Word) -> Fraction:
-        return self._entry(tuple(w_word), tuple(x_word))
+        return Fraction(int(self.table[w_idx, x_idx]), self.denom)
 
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Full table, rows = w-nodes, columns = x-nodes.  Quadratic;
-        meant for desk-scale depths."""
+        """Full table as Fractions, rows = w-nodes, columns = x-nodes.
+        Quadratic; meant for desk-scale depths."""
         if self.n_prefixes > _REPORT_NODE_LIMIT:
             raise PreconditionError(
                 f"full kernel table wants <= {_REPORT_NODE_LIMIT} prefixes, "
                 f"got {self.n_prefixes}")
-        cols = [self.column(x) for x in range(self.n_prefixes)]
-        return tuple(tuple(cols[x][w] for x in range(self.n_prefixes))
-                     for w in range(self.n_prefixes))
+        return _fraction_rows(self.table, self.denom)
 
     def perturbed(self, w_idx: int, x_idx: int, delta: Fraction) -> "KernelTable":
         """Copy with a single entry shifted — a negative control for the
         identity checkers."""
-        twin = KernelTable(self.potential, self.base_point)
+        denom, table, (bump,) = _common_denominator(self, [(Fraction(delta),)], 1)
+        table[w_idx, x_idx] += bump[0]
+        return KernelTable(self.potential, self.base_point, table, denom)
 
-        original_column = KernelTable.column
 
-        def column(x: int, _twin=twin):  # noqa: ANN001
-            col = original_column(_twin, x)
-            if x == x_idx:
-                bumped = list(col)
-                bumped[w_idx] = bumped[w_idx] + delta
-                return tuple(bumped)
-            return col
-
-        twin.column = column  # type: ignore[method-assign]
-        return twin
+def _common_denominator(kernel: KernelTable, tables: Sequence[Sequence[Fraction]],
+                        terms: int) -> tuple[int, np.ndarray, list[np.ndarray]]:
+    """The kernel and the rational `tables` over one denominator D:
+    (D, kernel array, one array per table), integers of one dtype that
+    keeps any sum of `terms` entries exact.  The kernel array is a copy."""
+    denom = lcm(kernel.denom, *{v.denominator for t in tables for v in t})
+    factor = denom // kernel.denom
+    ints = [[v.numerator * (denom // v.denominator) for v in t] for t in tables]
+    dtype = _int_dtype([int(np.abs(kernel.table).max()) * factor, factor]
+                       + [max(map(abs, t), default=0) for t in ints], terms)
+    return (denom, kernel.table.astype(dtype) * factor,
+            [np.array(t, dtype=dtype) for t in ints])
 
 
 def involution_kernel(a: LocallyConstantPotential,
                       base_point: EventuallyPeriodicPoint | None = None) -> KernelTable:
     """The coupling kernel of a depth-k potential against a base point
-    (default 0^∞).  For k = 1 the sum is empty and W ≡ 0."""
+    (default 0^∞).  For k = 1 the sum is empty and W ≡ 0.
+
+    Term n of the sum reads the window (w_n ... w_0, x_0 ... x_{k-2-n}),
+    whose numeral is rev_n(w)·d^(k-1-n) + x // d^n with rev_n(w) the
+    numeral of (w_n ... w_0); the base-point column is subtracted from
+    every column."""
     if base_point is None:
         base_point = default_base_point(a.alphabet_size)
-    return KernelTable(a, base_point)
+    if base_point.alphabet_size != a.alphabet_size:
+        raise InvalidInputError("base point and potential alphabets differ")
+    d, k = a.alphabet_size, a.depth
+    ints, denom = _scaled_weights(a.values)
+    values = np.array(ints, dtype=_int_dtype(map(abs, ints), 2 * (k - 1)))
+    nodes = np.arange(d ** (k - 1))
+    base = word_index(base_point.prefix(k - 1), d)
+    table = np.zeros((nodes.size, nodes.size), dtype=values.dtype)
+    rev = np.zeros_like(nodes)
+    for t in range(k - 1):
+        rev += nodes // d ** (k - 2 - t) % d * d ** t
+        windows = (rev * d ** (k - 1 - t))[:, None] + nodes // d ** t
+        table += values[windows] - values[windows[:, base]][:, None]
+    return KernelTable(a, base_point, table, denom)
 
 
 def dual_potential(a: LocallyConstantPotential, w: KernelTable,
@@ -142,48 +159,36 @@ def dual_potential(a: LocallyConstantPotential, w: KernelTable,
 
     The defining identity A*(e) = A(e0·u) + W(target(e), node(e0·u))
     - W(source(e), u) must hold for every x-node u, not just the base
-    prefix; it is re-verified exhaustively when the pair count is small
-    (always at desk scale) and on all edges against a fixed column
-    sample otherwise.  verify is one of "auto", "full", "none".
+    prefix; unless verify is "none" it is re-checked on every
+    (edge, x-node) pair ("auto" and "full" both do so).
     """
     if w.potential is not a and w.potential != a:
         raise InvalidInputError("kernel was built from a different potential")
     d, k = a.alphabet_size, a.depth
-    g = build_de_bruijn(d, k, a)
-    xbar = w.base_point.prefix(k)          # k symbols of the base point
-    xbar_node = xbar[:k - 1]
-    vals = []
-    for e in range(g.n_edges):
-        ew = g.edge_word(e)
-        tau_word = (ew[0],) + xbar[:k - 1]          # depth-k window of τ_w x̄
-        vals.append(a.value(tau_word)
-                    + w.value_words(ew[1:], tau_word[:k - 1])
-                    - w.value_words(ew[:k - 1], xbar_node))
-    dual = LocallyConstantPotential(d, k, tuple(vals))
+    n = w.n_prefixes
+    denom, table, (values,) = _common_denominator(w, [a.values], 3)
+    edges = np.arange(d ** k)
+    first, src, tgt = edges // n, edges // d, edges % n
+
+    def rhs(u: np.ndarray) -> np.ndarray:
+        """A(e0·u) + W(target(e), node(e0·u)) - W(source(e), u), [e, u]."""
+        shifted = first[:, None] * n + u        # the depth-k window e0·u
+        return (values[shifted] + table[tgt[:, None], shifted // d]
+                - table[src[:, None], u])
+
+    dual_ints = rhs(np.array([word_index(w.base_point.prefix(k - 1), d)]))[:, 0]
+    dual = LocallyConstantPotential(
+        d, k, tuple(Fraction(v, denom) for v in dual_ints.tolist()))
 
     if verify != "none":
-        n_pairs = g.n_edges * g.n_nodes
-        if verify == "full" or n_pairs <= _EXHAUSTIVE_PAIR_LIMIT:
-            x_nodes = range(g.n_nodes)
-        else:
-            probe = {g.node_index(((sym,) + xbar_node)[:k - 1]) for sym in range(d)}
-            probe.add(g.node_index(xbar_node))
-            probe.add(g.n_nodes // 2)
-            x_nodes = sorted(probe)
-        for u in x_nodes:
-            uw = g.node_word(u)
-            wcol = w.column(u)
-            for e in range(g.n_edges):
-                ew = g.edge_word(e)
-                shifted = (ew[0],) + uw
-                lhs = dual.values[e]
-                rhs = a.value(shifted) \
-                    + w.value_words(ew[1:], shifted[:k - 1]) \
-                    - wcol[e // d]
-                if lhs != rhs:
-                    raise InvariantViolation(
-                        f"dual identity fails at edge {word_to_string(ew)}, "
-                        f"x-node {word_to_string(uw)}: {lhs} != {rhs}")
+        full = rhs(np.arange(n))
+        bad = np.flatnonzero((full != dual_ints[:, None]).T)   # x-node major
+        if bad.size:
+            u, e = divmod(int(bad[0]), edges.size)
+            raise InvariantViolation(
+                f"dual identity fails at edge {word_to_string(word_at_index(e, d, k))}, "
+                f"x-node {word_to_string(word_at_index(u, d, k - 1))}: "
+                f"{dual.values[e]} != {Fraction(int(full[e, u]), denom)}")
     return dual
 
 
@@ -237,19 +242,22 @@ class DualityReport:
 
 def build_duality_report(a: LocallyConstantPotential,
                          base_point: EventuallyPeriodicPoint | None = None,
+                         critical: CriticalStructure | None = None,
                          ) -> DualityReport:
     """Full duality pipeline: kernel, dual, both maxplus analyses, the
     measured γ, and the b-table with its per-row optimal w-nodes.
 
     Requires a unique maximizing orbit (the duality relation with J*
     needs a single critical class on the dual side); refuses otherwise.
+    A caller that already holds the critical structure of `a` passes it
+    as `critical`, saving a second maximum-cycle-mean run.
     """
     g = build_de_bruijn(a.alphabet_size, a.depth, a)
     if g.n_nodes > _REPORT_NODE_LIMIT:
         raise PreconditionError(
             f"duality report is quadratic in nodes; {g.n_nodes} exceeds "
             f"{_REPORT_NODE_LIMIT}")
-    cs = max_mean_cycle(g)
+    cs = max_mean_cycle(g) if critical is None else critical
     if not cs.unique_maximizer:
         raise PreconditionError(
             "duality report needs a unique maximizing orbit; "
@@ -271,36 +279,32 @@ def build_duality_report(a: LocallyConstantPotential,
     r_star = error_function(dg, dcs, v_star)
     j_star = min_cost_to_critical(dg, r_star, dcs)
 
-    n = g.n_nodes
-    gamma: Fraction | None = None
-    b_rows = []
-    optimal = []
-    for x in range(n):
-        wcol = kernel.column(x)
-        dvals = [wcol[p] - v_star.values[p] - j_star[p] for p in range(n)]
-        dx = max(dvals)
-        diff = dx - v.values[x]
-        if gamma is None:
-            gamma = diff
-        elif diff != gamma:
-            raise InvariantViolation(
-                f"max_w[W - V* - J*] - V is not constant: {gamma} vs {diff} "
-                f"at x-node {word_to_string(g.node_word(x))}")
-        row = tuple(dx - val for val in dvals)   # = V+V*+J*-W+γ, row-min 0
-        zeros = frozenset(p for p, bv in enumerate(row) if bv == 0)
-        if not zeros:
-            raise InvariantViolation("b-row without a zero")
-        if any(bv < 0 for bv in row):
-            raise InvariantViolation("negative b-value")
-        b_rows.append(row)
-        optimal.append(zeros)
-    assert gamma is not None
+    denom, table, (vv, vs, js) = _common_denominator(
+        kernel, [v.values, v_star.values, j_star], 6)
+    dvals = table.T - vs - js                   # [x, w]: W(w, x) - V*(w) - J*(w)
+    dx = dvals.max(axis=1)
+    diff = dx - vv
+    gamma = Fraction(int(diff[0]), denom)
+    off = np.flatnonzero(diff != diff[0])
+    if off.size:
+        x = int(off[0])
+        raise InvariantViolation(
+            f"max_w[W - V* - J*] - V is not constant: {gamma} vs "
+            f"{Fraction(int(diff[x]), denom)} at x-node {word_to_string(g.node_word(x))}")
+    b = dx[:, None] - dvals                     # = V+V*+J*-W+γ, row-min 0
+    zero = b == 0
+    if not zero.any(axis=1).all():
+        raise InvariantViolation("b-row without a zero")
+    if (b < 0).any():
+        raise InvariantViolation("negative b-value")
 
     return DualityReport(
         potential=a, base_point=kernel.base_point, graph=g, critical=cs,
         v=v, r=r, kernel=kernel, dual=dual, dual_graph=dg, dual_critical=dcs,
         v_star=v_star, r_star=r_star, j_star=j_star, gamma=gamma,
-        b_table=tuple(b_rows), optimal_w_per_x=tuple(optimal),
+        b_table=_fraction_rows(b, denom),
+        optimal_w_per_x=tuple(frozenset(np.flatnonzero(row).tolist())
+                              for row in zero),
         degenerate=(a.depth == 1))
 
 
@@ -339,55 +343,51 @@ def fundamental_relation_check(a: LocallyConstantPotential,
 
       FR1:  b(u, e) - b(node(e0·u), tgt e) = R(e0·u)
 
-    with b in its orbit-refined form (J* per edge).  Returns ok or the
-    first violating triple; a violation signals inconsistent
-    normalization between the two sides.
+    with b in its orbit-refined form (J* per edge).  Pairs are taken
+    x-node major, dual edges inner; returns ok or the first violating
+    triple (FR before FR1 on the same pair) with the pairs checked up to
+    it.  A violation signals inconsistent normalization between the two
+    sides.
     """
     d, k = a.alphabet_size, a.depth
     g = build_de_bruijn(d, k, a)
-    if g.n_nodes * g.n_edges > _EXHAUSTIVE_PAIR_LIMIT * d:
-        raise PreconditionError("fundamental relation sweep is desk-scale only")
+    if g.n_nodes > _REPORT_NODE_LIMIT:
+        raise PreconditionError(
+            f"fundamental relation sweep is quadratic in nodes; {g.n_nodes} "
+            f"exceeds {_REPORT_NODE_LIMIT}")
     dg = build_de_bruijn(d, k, a_star)
     dcs = max_mean_cycle(dg)
     r_star = error_function(dg, dcs, v_star)
     j_star = min_cost_to_critical(dg, r_star, dcs)
 
+    denom, table, (vv, vs, rr, rs, js) = _common_denominator(
+        kernel, [v.values, v_star.values, r.values, r_star.values, j_star], 24)
+    n, n_dual = g.n_nodes, dg.n_edges
+    edges = np.arange(n_dual)
+    src, tgt = edges // d, edges % n
+    u = np.arange(n)[:, None]
+    shifted = edges // n * n + u                # [u, e]: the primal edge e0·u
+    tau = shifted // d                          # node(e0·u)
+    r_here = rr[shifted]
+
+    fr_rhs = (vs[src] + vv[u] - table[src, u]) \
+        - (vs[tgt] + vv[tau] - table[tgt, tau]) + rs
     # measure gamma the same way the report does (any x-node gives it)
-    col0 = kernel.column(0)
-    gamma = max(col0[p] - v_star.values[p] - j_star[p]
-                for p in range(g.n_nodes)) - v.values[0]
+    gamma = (table[:, 0] - vs - js).max() - vv[0]
+    b_edge = vv[u] + vs[src] + rs + js[tgt] - table[src, u] + gamma
+    b_node = b_edge.reshape(n, n, d).min(axis=2)
+    fr1_lhs = b_edge - b_node[tau, tgt]
 
-    def b_edge(x_node: int, e: int) -> Fraction:
-        src = e // d
-        return (v.values[x_node] + v_star.values[src]
-                + r_star.values[e] + j_star[e % g.n_nodes]
-                - kernel.value(src, x_node) + gamma)
-
-    def b_node(x_node: int, p: int) -> Fraction:
-        return min(b_edge(x_node, e) for e in dg.out_edges(p))
-
-    checked = 0
-    for u in range(g.n_nodes):
-        uw = g.node_word(u)
-        wcol = kernel.column(u)
-        for e in range(dg.n_edges):
-            ew = dg.edge_word(e)
-            shifted = (ew[0],) + uw              # depth-k window of τ_w x
-            tau_node = g.node_index(shifted[:k - 1])
-            r_here = r.values[g.edge_index(shifted)]
-            src, tgt = e // d, e % g.n_nodes
-            lhs = r_here
-            rhs = (v_star.values[src] + v.values[u] - wcol[src]) \
-                - (v_star.values[tgt] + v.values[tau_node]
-                   - kernel.value(tgt, tau_node)) \
-                + r_star.values[e]
-            checked += 1
-            if lhs != rhs:
-                return FRCheckResult(False, FRViolation("FR", uw, ew, lhs, rhs), checked)
-            fr1_lhs = b_edge(u, e) - b_node(tau_node, tgt)
-            if fr1_lhs != r_here:
-                return FRCheckResult(False, FRViolation("FR1", uw, ew, fr1_lhs, r_here), checked)
-    return FRCheckResult(True, None, checked)
+    fr_bad = r_here != fr_rhs
+    bad = np.flatnonzero(fr_bad | (fr1_lhs != r_here))
+    if not bad.size:
+        return FRCheckResult(True, None, n * n_dual)
+    x, e = divmod(int(bad[0]), n_dual)
+    lhs, rhs = (r_here, fr_rhs) if fr_bad[x, e] else (fr1_lhs, r_here)
+    return FRCheckResult(False, FRViolation(
+        "FR" if fr_bad[x, e] else "FR1", g.node_word(x), dg.edge_word(e),
+        Fraction(int(lhs[x, e]), denom), Fraction(int(rhs[x, e]), denom)),
+        int(bad[0]) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +482,14 @@ def backward_invariance_check(report: DualityReport,
 
 def kernel_csv(kernel: KernelTable) -> str:
     """Kernel matrix as CSV: rows = w-prefixes, columns = x-prefixes."""
-    from .words import word_at_index
-    n = kernel.n_prefixes
     d, k = kernel.alphabet_size, kernel.depth
-    labels = [word_to_string(word_at_index(i, d, k - 1)) or "-" for i in range(n)]
+    labels = [word_to_string(word_at_index(i, d, k - 1)) or "-"
+              for i in range(kernel.n_prefixes)]
     out = io.StringIO()
     out.write("w\\x," + ",".join(labels) + "\n")
-    cols = [kernel.column(x) for x in range(n)]
-    for p in range(n):
-        out.write(labels[p] + "," + ",".join(str(cols[x][p]) for x in range(n)) + "\n")
+    for label, row in zip(labels, kernel.table.tolist()):
+        out.write(label + "," + ",".join(str(Fraction(v, kernel.denom)) for v in row)
+                  + "\n")
     return out.getvalue()
 
 

@@ -290,6 +290,13 @@ def beta_scan(a: LocallyConstantPotential, betas: list[float]) -> ConvergenceRep
 # ---------------------------------------------------------------------------
 # kernel normalization and the eigenfunction identity
 
+def _beta_kernel(w: KernelTable, beta: float) -> np.ndarray:
+    """β·W as floats, rows = w-nodes; each W entry is the correctly
+    rounded quotient of its exact integer numerator by the denominator."""
+    return np.array([[beta * (v / w.denom) for v in row]
+                     for row in w.table.tolist()])
+
+
 def kernel_normalization(a: LocallyConstantPotential, w: KernelTable,
                          beta: float) -> float:
     """The constant c with ∫∫ e^{βW - c} dν_{βA*} dν_{βA} = 1, computed
@@ -298,9 +305,7 @@ def kernel_normalization(a: LocallyConstantPotential, w: KernelTable,
     a_star = dual_potential(a, w, verify="none")
     eig = leading_eigs(build_ruelle_matrix(a, beta))
     eig_star = leading_eigs(build_ruelle_matrix(a_star, beta))
-    n = a.alphabet_size ** (a.depth - 1)
-    logw = np.array([[beta * float(w.value(p, x)) for x in range(n)]
-                     for p in range(n)])
+    logw = _beta_kernel(w, beta)
     table = eig_star.log_nu[:, None] + eig.log_nu[None, :] + logw
     return float(_logsumexp(table))
 
@@ -337,9 +342,7 @@ def verify_kernel_identity(a: LocallyConstantPotential, w: KernelTable,
     a_star = dual_potential(a, w, verify="none")
     eig = leading_eigs(build_ruelle_matrix(a, beta))
     eig_star = leading_eigs(build_ruelle_matrix(a_star, beta))
-    n = a.alphabet_size ** (a.depth - 1)
-    logw = np.array([[beta * float(w.value(p, x)) for x in range(n)]
-                     for p in range(n)])
+    logw = _beta_kernel(w, beta)
     c = float(_logsumexp(eig_star.log_nu[:, None] + eig.log_nu[None, :] + logw))
 
     # φ*(w) =? Σ_x e^{βW(w,x)-c} ν(x)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
+import numpy as np
+
 from .duality import DualityReport, KernelTable, goodness_on_graph
 from .errors import (
     InvariantViolation,
@@ -30,6 +32,7 @@ from .words import (
     apply_shift,
     cut_between_nodes,
     lex_compare,
+    word_at_index,
 )
 
 _TIE_LIMIT = 4096      # optimal w points kept per x-node before refusing
@@ -46,8 +49,8 @@ class TwistCertificate:
 def certify_twist(w: KernelTable) -> TwistCertificate:
     """Exhaustively check W(a,b) + W(a',b') < W(a,b') + W(a',b) over all
     pairs of distinct w-cylinders a < a' and distinct x-cylinders
-    b < b'.  Strictness is required; the first failure is returned as a
-    witness.  Binary alphabet only."""
+    b < b'.  Strictness is required; the first failure (in the order
+    a, a', b, b') is returned as a witness.  Binary alphabet only."""
     if w.alphabet_size != 2:
         raise UnsupportedInputError(
             "twist certification is developed for the binary shift only")
@@ -56,20 +59,25 @@ def certify_twist(w: KernelTable) -> TwistCertificate:
         # depth 1: no distinct cylinder pair exists, so no strict twist
         # inequality can be certified — degenerate failure
         return TwistCertificate(False, 0, None)
-    cols = [w.column(x) for x in range(n)]
+    t = w.table
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)        # [b, b'] with b < b'
     checked = 0
     for a in range(n):
         for a2 in range(a + 1, n):
-            for b in range(n):
-                for b2 in range(b + 1, n):
-                    checked += 1
-                    lhs = cols[b][a] + cols[b2][a2]
-                    rhs = cols[b2][a] + cols[b][a2]
-                    if not lhs < rhs:
-                        return TwistCertificate(False, checked, (
-                            (w._prefix_word(a), w._prefix_word(b)),
-                            (w._prefix_word(a2), w._prefix_word(b2)),
-                            lhs, rhs))
+            lhs = t[a][:, None] + t[a2][None, :]            # W(a,b) + W(a',b')
+            rhs = t[a][None, :] + t[a2][:, None]            # W(a,b') + W(a',b)
+            fails = np.flatnonzero(upper & ~(lhs < rhs))
+            if fails.size:
+                first = int(fails[0])
+                checked += int(np.count_nonzero(upper.ravel()[:first + 1]))
+                b, b2 = divmod(first, n)
+                k1 = w.depth - 1
+                return TwistCertificate(False, checked, (
+                    (word_at_index(a, 2, k1), word_at_index(b, 2, k1)),
+                    (word_at_index(a2, 2, k1), word_at_index(b2, 2, k1)),
+                    Fraction(int(lhs[b, b2]), w.denom),
+                    Fraction(int(rhs[b, b2]), w.denom)))
+            checked += n * (n - 1) // 2
     return TwistCertificate(True, checked, None)
 
 
