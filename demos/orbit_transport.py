@@ -4,10 +4,11 @@ time-reversal — at minimal kernel cost, exactly.
 Both orbits carry uniform mass on their cyclic shifts.  The cost of
 sending an x-atom to a w-atom is the negated kernel value, so the
 cheapest coupling rewards the pairs the duality layer already marked as
-optimal.  Two independent solvers must agree: exhaustive permutation
-search and an exact rational transportation simplex.  The optimum is
-then certified three ways — strong duality, complementary slackness,
-and the support being a permutation.
+optimal: the zeros of b.  The solver does no arithmetic at all; it
+finds the first perfect matching of the atom zero graph.  The optimum
+is then certified three ways — strong duality (the matching's kernel
+cost equals the dual bound), complementary slackness, and the support
+being a permutation.
 
 Run with:  python3 demos/orbit_transport.py
 """
@@ -25,9 +26,8 @@ F = Fraction
 
 def main():
     # depth 5, zeros exactly on the ten windows of one long word: the
-    # maximizing orbit has period ten, so permutation search (10! orders)
-    # is skipped and only the simplex runs — its optimality is certified
-    # after the fact rather than by cross-checking the two solvers
+    # maximizing orbit has period ten, and the matching needs no search
+    # over its 10! orders
     word = (0, 0, 0, 0, 1, 0, 0, 1, 1, 1)
     edges = {tuple(word[(i + t) % 10] for t in range(5)) for i in range(10)}
     values = tuple(F(0) if w in edges else F(-1)
@@ -42,10 +42,9 @@ def main():
         print(f"  forward atoms:  {', '.join(str(a) for a in mu_x.atoms)}")
         print(f"  reversed atoms: {', '.join(str(a) for a in mu_w.atoms)}")
 
-        plan = solve_transport(mu_x, mu_w, rep.kernel)
-        route = ("simplex only, optimality certified by duality"
-                 if plan.lp_only else "permutation search and simplex agree")
-        print(f"  minimal cost {plan.cost}  ({route})")
+        plan = solve_transport(rep)
+        print(f"  minimal cost {plan.cost} via permutation "
+              f"{','.join(map(str, plan.permutation))}")
         print(f"  strong duality: cost equals the dual bound "
               f"({plan.cost == dual_value(plan, rep)})")
         print(f"  slackness clean: {slackness_check(plan, rep).ok}; "

@@ -33,9 +33,8 @@ from .maxplus import cycle_word, max_mean_cycle
 from .potentials import (LocallyConstantPotential, load_potential,
                          project_distance_family)
 from .thermo import beta_scan, verify_kernel_identity
-from .transport import (dual_value, graph_property_check,
-                        maximizing_orbit_measures, plan_csv, slackness_check,
-                        solve_transport)
+from .transport import (dual_value, graph_property_check, plan_csv,
+                        slackness_check, solve_transport)
 from .twist import (certify_twist, change_characterization_check,
                     decomposition_text, finiteness_report,
                     interval_decomposition, optimal_pair_map, turning_cut)
@@ -46,6 +45,14 @@ _DEFAULT_BETAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 def _rat(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _parse_flag(flag: str, parse, text: str):
+    """parse(text), or InvalidInputError (exit 2) naming the flag."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInputError(f"{flag}: cannot read {text!r}") from None
 
 
 def _load(args) -> LocallyConstantPotential:
@@ -157,13 +164,9 @@ def cmd_analyze(args) -> int:
         f"{'yes' if changed else 'NO'}")
     _write(args.out, "intervals.txt", decomposition_text(dec) + "\n", emitted)
 
-    mu_x, mu_w = maximizing_orbit_measures(report)
-    plan = solve_transport(mu_x, mu_w, report.kernel)
-    say(f"[transport] {len(mu_x.atoms)} atoms per side; optimal cost = "
-        f"{_rat(plan.cost)}"
-        + (f" via permutation {','.join(map(str, plan.permutation))}"
-           if plan.permutation else "")
-        + (" (LP only)" if plan.lp_only else ""))
+    plan = solve_transport(report)
+    say(f"[transport] {len(plan.atoms_x)} atoms per side; optimal cost = "
+        f"{_rat(plan.cost)} via permutation {','.join(map(str, plan.permutation))}")
     dv = dual_value(plan, report)
     if dv != plan.cost:
         say(f"[transport] duality value {_rat(dv)} != cost — gap!")
@@ -190,7 +193,7 @@ def cmd_analyze(args) -> int:
         "interval_runs": len(dec.runs),
         "distinct_optimal_points": fin.distinct_count,
         "transport_cost": _rat(plan.cost),
-        "transport_permutation": list(plan.permutation) if plan.permutation else None,
+        "transport_permutation": list(plan.permutation),
         "atoms_x": [str(a) for a in plan.atoms_x],
         "atoms_w": [str(a) for a in plan.atoms_w],
     }
@@ -209,7 +212,8 @@ def cmd_analyze(args) -> int:
 def cmd_scan(args) -> int:
     pot = _load(args)
     if args.betas:
-        betas = [float(b) for chunk in args.betas for b in chunk.split(",") if b]
+        betas = [_parse_flag("--betas/--beta", float, b)
+                 for chunk in args.betas for b in chunk.split(",") if b]
     else:
         betas = list(_DEFAULT_BETAS)
     betas = sorted(set(betas))
@@ -301,8 +305,7 @@ def cmd_verify(args) -> int:
     push(ki.ok, "spectral kernel identity at beta = 1",
          f"residual {ki.residual:.3g}")
 
-    mu_x, mu_w = maximizing_orbit_measures(report)
-    plan = solve_transport(mu_x, mu_w, report.kernel)
+    plan = solve_transport(report)
     sl = slackness_check(plan, report)
     dv = dual_value(plan, report)
     push(sl.ok and dv == plan.cost and graph_property_check(plan),
@@ -345,7 +348,7 @@ def cmd_verify(args) -> int:
 # suite: sampled genericity statistics
 
 def cmd_suite(args) -> int:
-    eps = Fraction(args.eps)
+    eps = _parse_flag("--eps", Fraction, args.eps)
     rep = sample_generic_suite(seed=args.seed, count=args.samples,
                                depth=args.depth_value,
                                alphabet_size=args.alphabet,

@@ -105,6 +105,28 @@ class EigenTriple:
     iterations: int
 
 
+def _perron_step(shifted: np.ndarray, v: np.ndarray, out: np.ndarray,
+                 buf: np.ndarray, hi: np.ndarray) -> float:
+    """One power step, _logsumexp(shifted + v[None, :], axis=1) minus
+    its maximum, written to `out`; returns the maximum.  Every n×n
+    intermediate lives in `buf` and every row vector in `hi` or `out`,
+    so a step allocates nothing of size n².  The operations and their
+    order are _logsumexp's, and `buf` shares the memory layout of
+    `shifted`, so the row sums add in the same order and the floats are
+    the same."""
+    np.add(shifted, v[None, :], out=buf)
+    np.max(buf, axis=1, out=hi)
+    np.copyto(hi, 0.0, where=~np.isfinite(hi))
+    np.subtract(buf, hi[:, None], out=buf)
+    np.exp(buf, out=buf)
+    np.sum(buf, axis=1, out=out)
+    np.log(out, out=out)
+    np.add(out, hi, out=out)
+    est = float(np.max(out))
+    np.subtract(out, est, out=out)
+    return est
+
+
 def _power_iteration(logm: np.ndarray, log_shift: float,
                      ) -> tuple[float, np.ndarray, int]:
     n = logm.shape[0]
@@ -113,11 +135,10 @@ def _power_iteration(logm: np.ndarray, log_shift: float,
     shifted[diag, diag] = _logsumexp(
         np.stack([logm[diag, diag], np.full(n, log_shift)]), axis=0)
     v = np.zeros(n)
+    v_new, buf, hi = np.empty(n), np.empty_like(shifted), np.empty(n)
     est = 0.0
     for it in range(1, _ITER_CAP + 1):
-        new = _logsumexp(shifted + v[None, :], axis=1)
-        new_est = float(np.max(new))
-        v_new = new - new_est
+        new_est = _perron_step(shifted, v, v_new, buf, hi)
         # the vector must settle in log-domain sup norm too, otherwise
         # exponentially small components exit with only their absolute
         # size converged and their logs (the subaction estimates) junk;
@@ -138,7 +159,7 @@ def _power_iteration(logm: np.ndarray, log_shift: float,
                 np.exp(check - log_lambda) - np.exp(v_new))))
             if resid <= _RESIDUAL_TOL:
                 return log_lambda, v_new, it
-        est, v = new_est, v_new
+        est, v, v_new = new_est, v_new, v
     raise InvariantViolation(
         f"power iteration did not converge within {_ITER_CAP} iterations "
         f"(last shifted log-eigenvalue {est:.17g})")

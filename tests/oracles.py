@@ -7,7 +7,10 @@ Sized for small tables (at most a few dozen nodes)."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 Word = tuple[int, ...]
 
@@ -80,6 +83,151 @@ def brute_best_permutation_cost(cost: list[list[Fraction]]) -> Fraction:
     best = min(sum(cost[i][perm[i]] for i in range(p))
                for perm in itertools.permutations(range(p)))
     return Fraction(best, p)
+
+
+def atom_cost_table(report, x_nodes, w_nodes) -> list[list[Fraction]]:
+    """The transport cost -W(w_j, x_i) between orbit atoms sitting at
+    the given kernel nodes, read entry by entry from the report."""
+    return [[-report.kernel.value(w, x) for w in w_nodes] for x in x_nodes]
+
+
+def brute_first_optimal_permutation(cost: list[list[Fraction]],
+                                    ) -> tuple[int, ...]:
+    """The first permutation in itertools order whose coupling cost is
+    minimal: the lexicographically first optimal permutation."""
+    p = len(cost)
+    best = best_perm = None
+    for perm in itertools.permutations(range(p)):
+        total = sum(cost[i][perm[i]] for i in range(p))
+        if best is None or total < best:
+            best, best_perm = total, perm
+    return best_perm
+
+
+def lp_transport(cost: list[list[Fraction]], mass: Fraction,
+                 ) -> tuple[Fraction, list[list[Fraction]]]:
+    """Exact transportation simplex for uniform marginals `mass` per
+    atom: northwest-corner start, tree potentials, Bland entering rule.
+    Returns (total cost, plan matrix)."""
+    p = len(cost)
+    plan = [[Fraction(0)] * p for _ in range(p)]
+    basis: set[tuple[int, int]] = set()
+    # northwest corner: uniform marginals fill the diagonal; pad the
+    # basis to a spanning tree with zero cells just below it
+    supply = [mass] * p
+    demand = [mass] * p
+    i = j = 0
+    while i < p and j < p:
+        move = min(supply[i], demand[j])
+        plan[i][j] = move
+        basis.add((i, j))
+        supply[i] -= move
+        demand[j] -= move
+        if supply[i] == 0 and i + 1 < p:
+            i += 1
+        elif demand[j] == 0:
+            j += 1
+        else:
+            i += 1
+    for r in range(p - 1):          # degenerate padding cells
+        if (r + 1, r) not in basis and len(basis) < 2 * p - 1:
+            basis.add((r + 1, r))
+    while len(basis) < 2 * p - 1:
+        for r in range(p):
+            for c in range(p):
+                if (r, c) not in basis:
+                    basis.add((r, c))
+                    break
+            else:
+                continue
+            break
+
+    for _ in range(100_000):
+        # potentials from the basis tree: u_i + v_j = c_ij
+        u: list[Fraction | None] = [None] * p
+        v: list[Fraction | None] = [None] * p
+        u[0] = Fraction(0)
+        pending = set(basis)
+        changed = True
+        while pending and changed:
+            changed = False
+            for (bi, bj) in sorted(pending):
+                if u[bi] is not None and v[bj] is None:
+                    v[bj] = cost[bi][bj] - u[bi]
+                elif v[bj] is not None and u[bi] is None:
+                    u[bi] = cost[bi][bj] - v[bj]
+                elif u[bi] is not None and v[bj] is not None:
+                    pass
+                else:
+                    continue
+                pending.discard((bi, bj))
+                changed = True
+        if any(x is None for x in u) or any(x is None for x in v):
+            raise AssertionError("degenerate basis lost tree connectivity")
+
+        entering = None
+        for r in range(p):
+            for c in range(p):
+                if (r, c) not in basis and cost[r][c] - u[r] - v[c] < 0:
+                    entering = (r, c)
+                    break
+            if entering:
+                break
+        if entering is None:
+            total = sum(plan[r][c] * cost[r][c] for r in range(p) for c in range(p))
+            return total, plan
+
+        # unique cycle: path from entering's column back to its row
+        # through the basis tree, alternating col/row moves
+        adj_row: dict[int, list[int]] = {r: [] for r in range(p)}
+        adj_col: dict[int, list[int]] = {c: [] for c in range(p)}
+        for (bi, bj) in basis:
+            adj_row[bi].append(bj)
+            adj_col[bj].append(bi)
+        start_r, start_c = entering
+        # DFS over alternating tree from row start_r to column start_c
+        path = None
+        stack = [(("r", start_r), [("r", start_r)])]
+        seen = {("r", start_r)}
+        while stack:
+            (kind, idx), trail = stack.pop()
+            if kind == "r":
+                for c in adj_row[idx]:
+                    node = ("c", c)
+                    if node in seen:
+                        continue
+                    nt = trail + [node]
+                    if c == start_c:
+                        path = nt
+                        stack.clear()
+                        break
+                    seen.add(node)
+                    stack.append((node, nt))
+            else:
+                for r in adj_col[idx]:
+                    node = ("r", r)
+                    if node not in seen:
+                        seen.add(node)
+                        stack.append((node, trail + [node]))
+        if path is None:
+            raise AssertionError("no pivot cycle through basis tree")
+        cells = [entering]
+        for a, b in zip(path, path[1:]):
+            if a[0] == "r":
+                cells.append((a[1], b[1]))
+            else:
+                cells.append((b[1], a[1]))
+        # cells alternate +,-,+,- starting with entering at +
+        minus = cells[1::2]
+        theta = min(plan[r][c] for (r, c) in minus)
+        leave = min((rc for rc in minus if plan[rc[0]][rc[1]] == theta))
+        sign = 1
+        for (r, c) in cells:
+            plan[r][c] += theta if sign > 0 else -theta
+            sign = -sign
+        basis.discard(leave)
+        basis.add(entering)
+    raise AssertionError("transportation simplex exceeded its pivot cap")
 
 
 def orbit_average(word: Word, value_of: dict[Word, Fraction]) -> Fraction:
@@ -186,3 +334,43 @@ def brute_twist(kernel: list[list[Fraction]],
             if not lhs < rhs:
                 return False, checked, (a, b, a2, b2, lhs, rhs)
     return True, checked, None
+
+
+def logsumexp(arr: np.ndarray, axis=None) -> np.ndarray | float:
+    hi = np.max(arr, axis=axis, keepdims=True)
+    hi = np.where(np.isfinite(hi), hi, 0.0)
+    out = np.log(np.sum(np.exp(arr - hi), axis=axis, keepdims=True)) + hi
+    return out.reshape(()).item() if axis is None else np.squeeze(out, axis=axis)
+
+
+def allocating_power_iteration(logm: np.ndarray, log_shift: float,
+                               ) -> tuple[float, np.ndarray, int]:
+    """The Perron loop as it was before its steps reused buffers: every
+    step builds fresh n×n temporaries.  Same operations, same order and
+    same stopping rule (estimates within 1e-14 relative, log-vector
+    settled within 1e-13, residual at most 1e-12), so the library's
+    result must match it bit for bit."""
+    n = logm.shape[0]
+    shifted = logm.copy()
+    diag = np.arange(n)
+    shifted[diag, diag] = logsumexp(
+        np.stack([logm[diag, diag], np.full(n, log_shift)]), axis=0)
+    v = np.zeros(n)
+    est = 0.0
+    for it in range(1, 10 ** 6 + 1):
+        new = logsumexp(shifted + v[None, :], axis=1)
+        new_est = float(np.max(new))
+        v_new = new - new_est
+        v_scale = max(1.0, float(np.max(np.abs(v_new))))
+        v_settled = float(np.max(np.abs(v_new - v))) < 1e-13 * v_scale
+        if abs(new_est - est) < 1e-14 * max(1.0, abs(new_est)) and v_settled:
+            ratio = math.exp(log_shift - new_est)
+            assert ratio < 1.0 - 1e-9, "shifted eigenvalue collapsed onto the shift"
+            log_lambda = new_est + math.log1p(-ratio)
+            check = logsumexp(logm + v_new[None, :], axis=1)
+            resid = float(np.max(np.abs(
+                np.exp(check - log_lambda) - np.exp(v_new))))
+            if resid <= 1e-12:
+                return log_lambda, v_new, it
+        est, v = new_est, v_new
+    raise AssertionError("power iteration did not converge")

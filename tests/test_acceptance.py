@@ -7,7 +7,8 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import brute_best_permutation_cost, brute_max_mean
+from oracles import (atom_cost_table, brute_best_permutation_cost,
+                     brute_max_mean, lp_transport)
 from shiftopt.duality import (backward_invariance_check, build_duality_report,
                               dual_roundtrip_check, fundamental_relation_check,
                               goodness_check, goodness_on_graph,
@@ -23,8 +24,7 @@ from shiftopt.thermo import (beta_scan, build_ruelle_matrix,
                              leading_eigs, verify_kernel_identity)
 from shiftopt.transport import (dual_value,
                                 maximizing_orbit_measures, slackness_check,
-                                solve_transport, _atom_cost_table,
-                                _transport_simplex)
+                                solve_transport)
 from shiftopt.twist import (certify_twist, change_characterization_check,
                             finiteness_report, interval_decomposition,
                             optimal_pair_map, turning_cut, twist_monotone)
@@ -83,8 +83,7 @@ def test_criterion_1_canonical_chain_exact():
     ok &= len(dec.runs) == 2
     fin = finiteness_report(pmap)
     ok &= fin.distinct_count == 2 and fin.graph_property
-    mu_x, mu_w = maximizing_orbit_measures(rep)
-    plan = solve_transport(mu_x, mu_w, rep.kernel)
+    plan = solve_transport(rep)
     ok &= plan.cost == F(-1, 2) and plan.permutation == (1, 0)
     ok &= dual_value(plan, rep) == plan.cost
     ok &= slackness_check(plan, rep).ok
@@ -105,10 +104,11 @@ def test_criterion_2_oracle_agreement():
         ok &= cs.mean == brute_max_mean(2, pot.depth, table)
         rep = build_duality_report(pot)
         mu_x, mu_w = maximizing_orbit_measures(rep)
-        plan = solve_transport(mu_x, mu_w, rep.kernel)
-        cost = _atom_cost_table(mu_x, mu_w, rep.kernel)
+        plan = solve_transport(rep)
+        cost = atom_cost_table(rep, mu_x.node_indices(pot.depth),
+                               mu_w.node_indices(pot.depth))
         p = len(cost)
-        lp_total, _ = _transport_simplex(
+        lp_total, _ = lp_transport(
             tuple(tuple(row) for row in cost), F(1, p))
         ok &= not plan.lp_only
         ok &= plan.cost == lp_total

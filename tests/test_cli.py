@@ -202,3 +202,20 @@ def test_suite_no_perturb_matches_library(tmp_path, capsys):
     assert code == 0
     assert "unique" in out
     assert "28" in out
+
+
+# -- unreadable flag values exit 2, naming the flag ------------------------------
+
+def test_suite_bad_eps_exits_2(tmp_path, capsys):
+    for text in ("abc", "1/0"):
+        code, out, err = run(capsys, ["suite", "--samples", "2", "--eps", text])
+        assert code == 2 and out == ""
+        assert err == f"error: --eps: cannot read {text!r}\n"
+
+
+def test_scan_bad_betas_exits_2(tmp_path, capsys):
+    p = _fixtures(tmp_path)
+    for argv in (["--betas", "x"], ["--betas", "1,2,y"], ["--beta", "x"]):
+        code, out, err = run(capsys, ["scan", p["a2"], *argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --betas/--beta: cannot read ")

@@ -1,16 +1,21 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from oracles import allocating_power_iteration, logsumexp
 
 from shiftopt.duality import build_duality_report, involution_kernel
 from shiftopt.errors import InvalidInputError, PreconditionError
 from shiftopt.genericity import perturb_to_unique
 from shiftopt.potentials import LocallyConstantPotential, canonical_a2, constant, lift
-from shiftopt.thermo import (beta_scan, build_ruelle_matrix,
-                             gibbs_cylinder_log_mass, kernel_normalization,
-                             ldp_rate_check, leading_eigs, verify_kernel_identity)
+from shiftopt.thermo import (_perron_step, _power_iteration, beta_scan,
+                             build_ruelle_matrix, gibbs_cylinder_log_mass,
+                             kernel_normalization, ldp_rate_check, leading_eigs,
+                             verify_kernel_identity)
 
 F = Fraction
 
@@ -203,3 +208,48 @@ def test_ruelle_matrix_rejects_bad_beta():
         build_ruelle_matrix(canonical_a2(), 0.0)
     with pytest.raises(InvalidInputError):
         build_ruelle_matrix(canonical_a2(), float("inf"))
+
+
+# -- Perron steps reuse their buffers -------------------------------------------
+
+def test_power_iteration_bit_identical_to_allocating_loop():
+    rng = random.Random(211)
+    pots = [canonical_a2(), build_duality_report(canonical_a2()).dual]
+    for k in (3, 5, 7):
+        pots.append(LocallyConstantPotential(2, k, tuple(
+            F(rng.randrange(-8, 9), rng.choice((1, 2, 4))) for _ in range(2 ** k))))
+    for pot in pots:
+        for beta in (1.0, 8.0, 64.0):
+            m = build_ruelle_matrix(pot, beta)
+            # leading_eigs solves on the matrix and on its transpose
+            for logm in (m.log_entries, m.log_entries.T):
+                lam, vec, its = _power_iteration(logm, m.log_shift)
+                lam0, vec0, its0 = allocating_power_iteration(logm, m.log_shift)
+                assert (lam, its) == (lam0, its0)
+                assert vec.tobytes() == vec0.tobytes()
+
+
+def test_perron_step_allocates_no_square_temporaries():
+    n = 512
+    rng = np.random.default_rng(5)
+    logm = rng.normal(size=(n, n))
+    logm[rng.random((n, n)) < 0.5] = -np.inf
+    # numpy's broadcasting ufuncs hold one fixed-size iteration buffer
+    # (getbufsize() elements, whatever n is); beyond it a step may only
+    # allocate row-sized masks
+    bound = 8 * np.getbufsize() + 64 * n
+    v, out = np.zeros(n), np.empty(n)
+    buf, hi = np.empty_like(logm), np.empty(n)
+
+    def peak(step) -> int:
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: _perron_step(logm, v, out, buf, hi)) <= bound
+    # the allocating step it replaced holds n² floats at once
+    assert peak(lambda: logsumexp(logm + v[None, :], axis=1)) >= 8 * n * n
