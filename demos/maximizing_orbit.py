@@ -8,8 +8,9 @@ Run with:  python3 demos/maximizing_orbit.py
 from fractions import Fraction
 
 from shiftopt import (LocallyConstantPotential, build_de_bruijn,
-                      calibrated_subaction, cycle_word, deviation_at_point,
-                      error_function, max_mean_cycle, word_to_string)
+                      calibrated_subaction, critical_orbits, cycle_word,
+                      deviation_at_point, error_function, max_mean_cycle,
+                      word_to_string)
 from shiftopt.words import EventuallyPeriodicPoint
 
 F = Fraction
@@ -28,7 +29,7 @@ def main():
 
     cs = max_mean_cycle(g)
     print(f"best average value per step: {cs.mean}")
-    for orbit in cs.orbits:
+    for orbit in critical_orbits(g, cs):
         print(f"  achieved by the cycle spelling {word_to_string(cycle_word(g, orbit))}")
     print(f"unique best orbit: {cs.unique_maximizer}")
 

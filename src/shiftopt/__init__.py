@@ -25,10 +25,10 @@ from .potentials import (HolderFamilySpec, LocallyConstantPotential, coboundary,
 from .graph import DeBruijnGraph, build_de_bruijn
 from .maxplus import (CoboundaryReport, CriticalStructure, ErrorFunction,
                       PairTable, Subaction, analyze, aubry_set,
-                      calibrated_subaction, cycle_word, deviation_at_point,
-                      deviation_witness, error_function, is_coboundary,
-                      mane_potential, max_mean_cycle, min_cost_to_critical,
-                      peierls_barrier)
+                      calibrated_subaction, critical_orbits, cycle_word,
+                      deviation_at_point, deviation_witness, error_function,
+                      is_coboundary, mane_potential, max_mean_cycle,
+                      min_cost_to_critical, peierls_barrier)
 from .duality import (DualityReport, FRCheckResult, GoodnessReport, KernelTable,
                       b_table_csv, backward_invariance_check,
                       build_duality_report, default_base_point,

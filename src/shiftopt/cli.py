@@ -100,7 +100,8 @@ def cmd_analyze(args) -> int:
     say(f"[maxplus] maximizing mean value m = {_rat(cs.mean)}")
     say(f"[maxplus] critical edges: {len(cs.critical_edges)}, "
         f"critical nodes: {len(cs.critical_nodes)}, "
-        f"orbits: {len(cs.orbits)}")
+        + ("orbits: 1" if cs.unique_maximizer
+           else f"critical classes: {len(cs.classes)}"))
     if not cs.unique_maximizer:
         say("[stopped] maximizing measure not unique; "
             "perturb the potential (see the suite command) and rerun")
@@ -262,8 +263,8 @@ def cmd_verify(args) -> int:
          "mean value is self-dual",
          f"m = {_rat(report.critical.mean)} on both sides")
 
-    rows_ok = all(min(row) == 0 and all(v >= 0 for v in row)
-                  for row in report.b_table)
+    b = report.b_ints
+    rows_ok = bool((b >= 0).all() and (b == 0).any(axis=1).all())
     push(rows_ok, "b-table nonnegative with a zero per row",
          f"{g.n_nodes}x{g.n_nodes} entries, gamma = {_rat(report.gamma)}")
 

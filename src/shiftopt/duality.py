@@ -26,10 +26,10 @@ per-edge deviation J*(e) = R*(e) + J*(target(e)).
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -39,8 +39,9 @@ from .maxplus import (
     CriticalStructure,
     ErrorFunction,
     Subaction,
+    _fractions,
+    _int_dtype,
     _scaled_weights,
-    _vector_safe,
     calibrated_subaction,
     error_function,
     is_coboundary,
@@ -58,17 +59,10 @@ def default_base_point(alphabet_size: int) -> EventuallyPeriodicPoint:
     return periodic_point((0,), alphabet_size)
 
 
-def _int_dtype(bounds: Iterable[int], terms: int):
-    """int64 when a sum of `terms` entries bounded by max(bounds) cannot
-    overflow (the max-plus layer's rule), Python integers otherwise."""
-    return np.int64 if _vector_safe(list(bounds), terms) else object
-
-
 def _fraction_rows(table: np.ndarray, denom: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of table / denom as Fractions; equal entries share one."""
-    rows = table.tolist()
-    memo = {v: Fraction(v, denom) for v in set().union(*rows)}
-    return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+    flat, n = _fractions(table.ravel().tolist(), denom), table.shape[1]
+    return tuple(flat[i:i + n] for i in range(0, len(flat), n))
 
 
 class KernelTable:
@@ -199,8 +193,9 @@ def dual_potential(a: LocallyConstantPotential, w: KernelTable,
 class DualityReport:
     """Everything the duality layer established for one potential.
 
-    b_table is indexed [x-node][w-node] and is >= 0 with at least one
-    zero per x-row; gamma is the measured constant by which
+    b_ints / b_denom is the b-table, indexed [x-node, w-node]: >= 0
+    with at least one zero per x-row; b_table is its Fraction view,
+    built on each access.  gamma is the measured constant by which
     max_w [W - V* - J*] exceeds V.  degenerate marks depth-1 inputs,
     whose b-table is identically zero.
     """
@@ -219,9 +214,15 @@ class DualityReport:
     r_star: ErrorFunction
     j_star: tuple[Fraction, ...]
     gamma: Fraction
-    b_table: tuple[tuple[Fraction, ...], ...]
+    b_ints: np.ndarray
+    b_denom: int
     optimal_w_per_x: tuple[frozenset[int], ...]
     degenerate: bool
+
+    @property
+    def b_table(self) -> tuple[tuple[Fraction, ...], ...]:
+        """b_ints / b_denom as Fraction rows, rebuilt on every access."""
+        return _fraction_rows(self.b_ints, self.b_denom)
 
     # -- orbit-refined quantities used by FR1 and the twist layer ------
 
@@ -302,7 +303,7 @@ def build_duality_report(a: LocallyConstantPotential,
         potential=a, base_point=kernel.base_point, graph=g, critical=cs,
         v=v, r=r, kernel=kernel, dual=dual, dual_graph=dg, dual_critical=dcs,
         v_star=v_star, r_star=r_star, j_star=j_star, gamma=gamma,
-        b_table=_fraction_rows(b, denom),
+        b_ints=b, b_denom=denom,
         optimal_w_per_x=tuple(frozenset(np.flatnonzero(row).tolist())
                               for row in zero),
         degenerate=(a.depth == 1))
@@ -468,7 +469,7 @@ def backward_invariance_check(report: DualityReport,
                 shifted = (dg.edge_word(e)[0],) + uw
                 tau_node = g.node_index(shifted[:k - 1]) if k > 1 else 0
                 tgt = e % g.n_nodes
-                if (report.b_table[tau_node][tgt] == 0
+                if (report.b_ints[tau_node, tgt] == 0
                         and report.r.values[g.edge_index(shifted)] == 0):
                     hit = True
                     break
@@ -497,9 +498,14 @@ def b_table_csv(report: DualityReport) -> str:
     """b-table as CSV: rows = x-nodes, columns = w-nodes."""
     g = report.graph
     labels = [word_to_string(g.node_word(i)) or "-" for i in range(g.n_nodes)]
+    rows = report.b_ints.tolist()
+    denom = report.b_denom
+    text = {}
+    for v in set().union(*rows):            # str(Fraction(v, denom)), once each
+        c = gcd(v, denom)
+        text[v] = str(v // c) if c == denom else f"{v // c}/{denom // c}"
     out = io.StringIO()
     out.write("x\\w," + ",".join(labels) + "\n")
-    for x in range(g.n_nodes):
-        out.write(labels[x] + ","
-                  + ",".join(str(v) for v in report.b_table[x]) + "\n")
+    for label, row in zip(labels, rows):
+        out.write(label + "," + ",".join(map(text.__getitem__, row)) + "\n")
     return out.getvalue()

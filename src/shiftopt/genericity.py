@@ -21,8 +21,8 @@ from fractions import Fraction
 from .duality import build_duality_report, dual_potential, goodness_on_graph, involution_kernel
 from .errors import InvalidInputError, PreconditionError
 from .graph import build_de_bruijn
-from .maxplus import (aubry_set, calibrated_subaction, cycle_word,
-                      error_function, max_mean_cycle)
+from .maxplus import (aubry_set, calibrated_subaction, critical_orbits,
+                      cycle_word, error_function, max_mean_cycle)
 from .potentials import LocallyConstantPotential, holder_seminorm
 
 
@@ -51,7 +51,7 @@ def perturb_to_unique(a: LocallyConstantPotential,
         return a
     g = build_de_bruijn(a.alphabet_size, a.depth, a)
     cs = max_mean_cycle(g)
-    chosen = min(cs.orbits, key=lambda c: _cycle_sort_key(g, c))
+    chosen = min(critical_orbits(g, cs), key=lambda c: _cycle_sort_key(g, c))
     keep = frozenset(chosen)
     vals = tuple(v if e in keep else v - eps
                  for e, v in enumerate(a.values))
@@ -122,7 +122,8 @@ def _side_flags(pot: LocallyConstantPotential) -> tuple[bool, bool, bool]:
     g = build_de_bruijn(pot.alphabet_size, pot.depth, pot)
     cs = max_mean_cycle(g)
     aubry = aubry_set(g, cs)
-    support = frozenset(g.source(e) for orbit in cs.orbits for e in orbit)
+    support = frozenset(g.source(e) for orbit in critical_orbits(g, cs)
+                        for e in orbit)
     v = calibrated_subaction(g, cs)
     r = error_function(g, cs, v)
     off_ok = all(r.values[e] > 0

@@ -6,9 +6,10 @@ longest-path potentials after normalizing the weights, and the action
 potentials (Mañé, Peierls, min-cost-to-critical) are longest or
 shortest path tables.  Weights are scaled to a common denominator and
 handled as integers; when the scaled magnitudes are small enough that
-no intermediate can overflow, the relaxation loops run vectorized on
-int64, otherwise they fall back to plain Python integers — both paths
-are exact.
+no intermediate can overflow, the loops run vectorized on int64,
+otherwise on numpy object arrays of Python integers (Karp's tables and
+the error function) or plain Python integers (the relaxations) — every
+path is exact.
 
 The certified route to the critical structure:
 
@@ -22,8 +23,11 @@ The certified route to the critical structure:
      endpoints sit in the same strongly connected component of the
      tight subgraph.  Those are the critical edges.
 
-Tests cross-check step 3 against brute-force enumeration of all simple
-cycles on every sample small enough to enumerate.
+A unique maximizing orbit is read off the critical successors; listing
+every maximizing orbit is exponential in general and happens only in
+critical_orbits, on request.  Tests cross-check step 3 and
+critical_orbits against brute-force enumeration of all simple cycles on
+every sample small enough to enumerate.
 """
 
 from __future__ import annotations
@@ -47,10 +51,15 @@ _SAFE = 1 << 60            # vectorize only when (rounds+2)*max|w| stays below
 def _scaled_weights(values, extra_denominator: int = 1) -> tuple[list[int], int]:
     """Common-denominator view of a rational table: (ints, D) with
     table[i] == ints[i] / D exactly."""
-    denom = extra_denominator
-    for v in values:
-        denom = lcm(denom, v.denominator)
-    return [int(v * denom) for v in values], denom
+    denom = lcm(extra_denominator, *{v.denominator for v in values})
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def _fractions(ints, denom: int) -> tuple[Fraction, ...]:
+    """ints / denom as Fractions; equal entries share one."""
+    ints = list(ints)
+    memo = {x: Fraction(x, denom) for x in set(ints)}
+    return tuple(map(memo.__getitem__, ints))
 
 
 def _normalized_int_weights(g: DeBruijnGraph, mean: Fraction) -> tuple[list[int], int]:
@@ -65,6 +74,12 @@ def _vector_safe(weights: list[int], rounds: int) -> bool:
     return (rounds + 2) * mx < _SAFE
 
 
+def _int_dtype(bounds, terms: int):
+    """int64 when a sum of `terms` entries bounded by max |bounds| cannot
+    overflow, Python integers (object arrays) otherwise."""
+    return np.int64 if _vector_safe(list(bounds), terms) else object
+
+
 # ---------------------------------------------------------------------------
 # result types
 
@@ -72,10 +87,12 @@ def _vector_safe(weights: list[int], rounds: int) -> bool:
 class CriticalStructure:
     """Maximizing value and the subgraph attaining it.
 
-    orbits holds the simple cycles of mean exactly m_A, each as a tuple
-    of edge indices rotated to start at its smallest edge.  classes
-    partitions the critical nodes into strongly connected components of
-    the critical subgraph.
+    classes partitions the critical nodes into strongly connected
+    components of the critical subgraph.  orbits holds the maximizing
+    orbit as a tuple of edge indices rotated to start at its smallest
+    edge when it is unique, and is empty otherwise (critical_orbits
+    lists every maximizing orbit on request).  cycle is the cycle of
+    mean m_A that Karp's recurrence found, in walk order.
     """
 
     mean: Fraction
@@ -84,6 +101,7 @@ class CriticalStructure:
     classes: tuple[frozenset[int], ...]
     orbits: tuple[tuple[int, ...], ...]
     unique_maximizer: bool
+    cycle: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -125,82 +143,69 @@ class CoboundaryReport:
 # ---------------------------------------------------------------------------
 # Karp's algorithm with certificate extraction
 
-def _karp_rows(g: DeBruijnGraph, weights: list[int]):
-    """All Karp walk-value rows D_0..D_n from node 0, plus the
-    predecessor table.  Returns (rows, pred) where rows[ell][v] is the
-    best weight of a length-ell walk 0 -> v (None if no such walk) and
-    pred[ell][v] the edge realizing it."""
-    n, d = g.n_nodes, g.alphabet_size
-    if _vector_safe(weights, n):
-        w = np.asarray(weights, dtype=np.int64)
-        cols = np.arange(n, dtype=np.int64)
-        dist = np.full(n, _NEG, dtype=np.int64)
-        dist[0] = 0
-        rows = np.empty((n + 1, n), dtype=np.int64)
-        pred = np.empty((n + 1, n), dtype=np.int64)
-        rows[0] = dist
-        for ell in range(1, n + 1):
-            cand = (np.repeat(dist, d) + w).reshape(d, n)
-            a_star = cand.argmax(axis=0)
-            best = cand[a_star, cols]
-            dist = np.where(best > _THRESH, best, _NEG)
-            pred[ell] = a_star * n + cols
-            rows[ell] = dist
-        py_rows = [[x if x > _THRESH else None for x in row] for row in rows.tolist()]
-        return py_rows, pred.tolist()
-    dist_p: list[int | None] = [None] * n
-    dist_p[0] = 0
-    rows_p: list[list[int | None]] = [dist_p[:]]
-    pred_p = [[-1] * n for _ in range(n + 1)]
-    for ell in range(1, n + 1):
-        nxt: list[int | None] = [None] * n
-        prow = pred_p[ell]
-        for e in range(g.n_edges):
-            s = dist_p[e // d]
-            if s is None:
-                continue
-            cand = s + weights[e]
-            t = e % n
-            if nxt[t] is None or cand > nxt[t]:
-                nxt[t] = cand
-                prow[t] = e
-        dist_p = nxt
-        rows_p.append(dist_p[:])
-    return rows_p, pred_p
+def _min_ratio(num: np.ndarray, den: np.ndarray, live: np.ndarray):
+    """Exact column-wise minimum of num / den over the live rows (den >
+    0 and broadcastable to num; every column holds a live row), as
+    (num, den) per column.  A tournament of the first half of the rows
+    against the second, by cross-multiplication, so products never
+    exceed |num| * max(den); with an odd count the middle row meets
+    itself and stays."""
+    while len(num) > 1:
+        h = (len(num) + 1) // 2
+        a, b = slice(0, h), slice(len(num) - h, None)
+        take = live[b] & ~(live[a] & (num[b] * den[a] >= num[a] * den[b]))
+        num, den = np.where(take, num[b], num[a]), np.where(take, den[b], den[a])
+        live = live[a] | live[b]
+    return num[0], den[0]
 
 
 def _karp(g: DeBruijnGraph, weights: list[int]) -> tuple[Fraction, list[int]]:
     """Maximum cycle mean of integer edge weights, plus one attaining
-    cycle as a list of edge indices (in walk order)."""
+    cycle as a list of edge indices (in walk order).
+
+    rows[l, v] is the best weight of a length-l walk 0 -> v where
+    reach[l, v] says such a walk exists, and choice[l, v] the first
+    symbol of the edge into v that realizes it (the first maximal one).
+    The tables are int64 when no walk weight can overflow and Python
+    integers otherwise; m = max over v of min over l of
+    (rows[n, v] - rows[l, v]) / (n - l) is then taken exactly, in int64
+    only when the cross-multiplied ratios provably fit too."""
     n, d = g.n_nodes, g.alphabet_size
-    rows, pred = _karp_rows(g, weights)
-    final = rows[n]
-    best_num, best_den, best_v = None, 1, -1
-    for v in range(n):
-        fv = final[v]
-        if fv is None:
-            continue
-        num, den = None, 1
-        for ell in range(n):
-            dv = rows[ell][v]
-            if dv is None:
-                continue
-            cnum, cden = fv - dv, n - ell
-            if num is None or cnum * den < num * cden:
-                num, den = cnum, cden
-        if num is None or den == 0:
-            continue
-        if best_num is None or num * best_den > best_num * den:
-            best_num, best_den, best_v = num, den, v
-    if best_num is None:
-        raise InvariantViolation("no cycle found; de Bruijn graphs are strongly connected")
+    dtype = _int_dtype(weights, n)
+    w = np.array(weights, dtype=dtype).reshape(d, n)     # [a, v]: edge a·v
+    src = np.arange(d * n).reshape(d, n) // d
+    rows = np.zeros((n + 1, n), dtype=dtype)
+    reach = np.zeros((n + 1, n), dtype=bool)
+    reach[0, 0] = True
+    choice = np.zeros((n + 1, n), dtype=np.min_scalar_type(d - 1))
+    for ell in range(1, n + 1):
+        cand = rows[ell - 1][src] + w
+        live = reach[ell - 1][src]
+        best, have, pick = cand[0], live[0], choice[ell]
+        for a in range(1, d):
+            take = live[a] & ~(have & (cand[a] <= best))
+            best = np.where(take, cand[a], best)
+            pick[take] = a
+            have = have | live[a]
+        rows[ell] = best
+        reach[ell] = have
+
+    # |rows| <= n max|w|, so each cross product stays below 2 n^2 max|w|
+    rows = rows.astype(_int_dtype(weights, 2 * n * n), copy=False)
+    lengths = (n - np.arange(n)).astype(rows.dtype)[:, None]
+    num, den = _min_ratio(rows[n] - rows[:n], lengths, reach[:n])
+    # the maximum over v is minus the minimum of the negated ratios
+    top_num, top_den = _min_ratio(-num[:, None], den[:, None],
+                                  np.ones((n, 1), dtype=bool))
+    best_num, best_den = -top_num[0], top_den[0]
+    best_v = int(np.flatnonzero(num * best_den == best_num * den)[0])
 
     # Backtrack the optimal length-n walk to best_v; its first repeated
     # node closes a cycle, and every cycle on this walk has mean m.
     path_edges: list[int] = []
     v = best_v
     for ell in range(n, 0, -1):
-        e = int(pred[ell][v])
+        e = int(choice[ell, v]) * n + v
         path_edges.append(e)
         v = e // d
     path_edges.reverse()  # walk: node 0 -> ... -> best_v
@@ -214,7 +219,7 @@ def _karp(g: DeBruijnGraph, weights: list[int]) -> tuple[Fraction, list[int]]:
         seen[t] = i + 1
     if cycle is None:
         raise InvariantViolation("length-n walk contains no repeated node")
-    return Fraction(best_num, best_den), cycle
+    return Fraction(int(best_num), int(best_den)), cycle
 
 
 # ---------------------------------------------------------------------------
@@ -360,53 +365,16 @@ def _tarjan_scc(n: int, adjacency: list[list[int]]) -> list[int]:
     return comp
 
 
-def _simple_cycles_in(edge_set: frozenset[int], g: DeBruijnGraph,
-                      limit: int) -> list[tuple[int, ...]]:
-    """All node-simple cycles using only the given edges, each rotated
-    to start at its smallest edge index."""
-    out: dict[int, list[int]] = {}
-    for e in sorted(edge_set):
-        out.setdefault(g.source(e), []).append(e)
-    found: set[tuple[int, ...]] = set()
-
-    for start in sorted(out):
-        # cycles whose smallest node is `start`
-        path_edges: list[int] = []
-        on_path = {start}
-
-        def dfs(v: int) -> None:
-            for e in out.get(v, ()):
-                t = g.target(e)
-                if t < start:
-                    continue
-                if t == start:
-                    cyc = tuple(path_edges) + (e,)
-                    i = cyc.index(min(cyc))
-                    found.add(cyc[i:] + cyc[:i])
-                    if len(found) > limit:
-                        raise PreconditionError(
-                            f"more than {limit} maximizing orbits; "
-                            "raise orbit_limit to enumerate them all")
-                elif t not in on_path:
-                    on_path.add(t)
-                    path_edges.append(e)
-                    dfs(t)
-                    path_edges.pop()
-                    on_path.remove(t)
-
-        dfs(start)
-    return sorted(found, key=lambda c: (len(c), c))
-
-
 # ---------------------------------------------------------------------------
 # the public operations
 
-def max_mean_cycle(g: DeBruijnGraph, orbit_limit: int = 10000) -> CriticalStructure:
+def max_mean_cycle(g: DeBruijnGraph) -> CriticalStructure:
     """Maximizing value m and the full critical structure, exact.
 
     m is the maximum over all cycles of (weight sum)/(length).  The
     uniqueness flag is true iff there is exactly one critical class and
-    it consists of a single simple cycle.
+    it consists of a single simple cycle; that cycle is then read off
+    the critical successors.  No other orbit is enumerated.
     """
     if g.n_nodes < 1:
         raise InvalidInputError("empty graph")
@@ -436,14 +404,63 @@ def max_mean_cycle(g: DeBruijnGraph, orbit_limit: int = 10000) -> CriticalStruct
         by_comp.setdefault(comp[v], set()).add(v)
     classes = tuple(frozenset(c) for c in sorted(by_comp.values(), key=min))
 
-    out_degree: dict[int, int] = {}
+    successor: dict[int, int] = {}
+    unique = len(classes) == 1
     for e in critical_edges:
-        out_degree[e // d] = out_degree.get(e // d, 0) + 1
-    unique = len(classes) == 1 and all(out_degree.get(v, 0) == 1 for v in classes[0])
+        unique = unique and e // d not in successor
+        successor[e // d] = e
 
-    orbits = tuple(_simple_cycles_in(critical_edges, g, orbit_limit))
+    orbits: tuple[tuple[int, ...], ...] = ()
+    if unique:
+        start = min(critical_nodes)
+        orbit = [successor[start]]
+        while orbit[-1] % n != start:
+            orbit.append(successor[orbit[-1] % n])
+        i = orbit.index(min(orbit))
+        orbits = (tuple(orbit[i:] + orbit[:i]),)
     return CriticalStructure(mean, critical_edges, critical_nodes,
-                             classes, orbits, unique)
+                             classes, orbits, unique, tuple(cycle))
+
+
+def critical_orbits(g: DeBruijnGraph, cs: CriticalStructure,
+                    limit: int = 10000) -> tuple[tuple[int, ...], ...]:
+    """Every maximizing orbit: the node-simple cycles of the critical
+    subgraph, each rotated to start at its smallest edge index, sorted
+    by (length, edges).  Refuses with PreconditionError once more than
+    `limit` are found; their number can grow exponentially in the
+    node count."""
+    if cs.unique_maximizer:
+        return cs.orbits
+    out: dict[int, list[int]] = {}
+    for e in sorted(cs.critical_edges):
+        out.setdefault(g.source(e), []).append(e)
+    found: set[tuple[int, ...]] = set()
+    for start in sorted(out):
+        # cycles whose smallest node is `start`, by an explicit-stack DFS
+        path: list[int] = []
+        on_path = {start}
+        stack = [iter(out[start])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if path:
+                    on_path.remove(g.target(path.pop()))
+                continue
+            t = g.target(e)
+            if t == start:
+                cyc = tuple(path) + (e,)
+                i = cyc.index(min(cyc))
+                found.add(cyc[i:] + cyc[:i])
+                if len(found) > limit:
+                    raise PreconditionError(
+                        f"more than {limit} maximizing orbits; "
+                        "raise the limit to enumerate them all")
+            elif t > start and t not in on_path:
+                on_path.add(t)
+                path.append(e)
+                stack.append(iter(out.get(t, ())))
+    return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
 def cycle_word(g: DeBruijnGraph, cycle: tuple[int, ...]) -> Word:
@@ -466,25 +483,29 @@ def calibrated_subaction(g: DeBruijnGraph, cs: CriticalStructure) -> Subaction:
     raw = _longest_path_from(g, norm, set(cs.critical_nodes))
     anchor = 0
     base = raw[anchor]
-    return Subaction(tuple(Fraction(x - base, denom) for x in raw), anchor)
+    return Subaction(_fractions((x - base for x in raw), denom), anchor)
 
 
 def error_function(g: DeBruijnGraph, cs: CriticalStructure, v: Subaction) -> ErrorFunction:
     """R(edge) = V(target) - V(source) - weight + m, checked nonnegative
     with a zero among each node's incoming edges."""
     n, d = g.n_nodes, g.alphabet_size
-    vals = []
-    for e in range(g.n_edges):
-        r = v.values[e % n] - v.values[e // d] - g.weights[e] + cs.mean
-        if r < 0:
-            raise InvariantViolation(
-                f"calibration violated at edge {g.edge_word(e)}: R = {r}")
-        vals.append(r)
-    for node in range(n):
-        if all(vals[e] != 0 for e in g.in_edges(node)):
-            raise InvariantViolation(
-                f"node {g.node_word(node)} has no tight incoming edge")
-    return ErrorFunction(tuple(vals))
+    ints, denom = _scaled_weights(v.values + g.weights + (cs.mean,))
+    dtype = _int_dtype(ints, 4)
+    vv = np.array(ints[:n], dtype=dtype)
+    edges = np.arange(g.n_edges)
+    r = vv[edges % n] - vv[edges // d] - np.array(ints[n:-1], dtype=dtype) + ints[-1]
+    neg = np.flatnonzero(r < 0)
+    if neg.size:
+        e = int(neg[0])
+        raise InvariantViolation(
+            f"calibration violated at edge {g.edge_word(e)}: "
+            f"R = {Fraction(int(r[e]), denom)}")
+    untight = np.flatnonzero(~(r == 0).reshape(d, n).any(axis=0))
+    if untight.size:
+        raise InvariantViolation(
+            f"node {g.node_word(int(untight[0]))} has no tight incoming edge")
+    return ErrorFunction(_fractions(r.tolist(), denom))
 
 
 def analyze(pot: LocallyConstantPotential):
@@ -644,7 +665,7 @@ def deviation_witness(g: DeBruijnGraph, r: ErrorFunction, cs: CriticalStructure,
         if guard > g.n_nodes:
             raise InvariantViolation("witness route does not reach the critical set")
     cyc = None
-    for orbit in cs.orbits:
+    for orbit in critical_orbits(g, cs):
         for i, e in enumerate(orbit):
             if g.source(e) == v:
                 cyc = orbit[i:] + orbit[:i]
@@ -667,12 +688,12 @@ def is_coboundary(z: LocallyConstantPotential) -> CoboundaryReport:
     g = build_de_bruijn(z.alphabet_size, z.depth, z)
     top = max_mean_cycle(g)
     if top.mean != 0:
-        cyc = top.orbits[0]
+        cyc = top.cycle
         return CoboundaryReport(False, cyc, sum(g.weights[e] for e in cyc))
     bottom = max_mean_cycle(build_de_bruijn(z.alphabet_size, z.depth,
                                             z.scale(Fraction(-1))))
     if bottom.mean != 0:
-        cyc = bottom.orbits[0]
+        cyc = bottom.cycle
         return CoboundaryReport(False, cyc, sum(g.weights[e] for e in cyc))
     v = calibrated_subaction(g, top)
     # with every cycle sum zero, R >= 0 and all cycle R-sums are 0, so

@@ -228,9 +228,14 @@ def leplaideur_member(n: int, lam: Fraction, depth: int) -> LocallyConstantPoten
     the period-2 orbit {(01)^∞, (10)^∞} together with the orbit of the
     (2n+3)-periodic point spelled (01)^n 1 01.
 
-    For n = 1 the period word is 01101.  These potentials all share the
-    period-2 orbit as their maximizing orbit, with a margin that decays
-    as n grows — the standard stress test for dual goodness.
+    For n = 1 the period word is 01101.  Both target orbits are zeros
+    of the full potential, so it has two maximizing orbits, and which
+    one the depth-k table keeps depends on the parity of k.  At even
+    depths the period-2 orbit is typically the table's unique maximizer
+    (mean 0), with a dual margin that decays as n grows — the standard
+    stress test for dual goodness.  At odd depths it is not: the table
+    of n = 1 is maximized by 011 at k = 3 and by 01011 at k = 5 and 7,
+    and that of n = 2 by 0101011 at k = 7.
     """
     if n < 1:
         raise InvalidInputError("family index n must be >= 1")

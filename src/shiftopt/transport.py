@@ -179,7 +179,7 @@ def slackness_check(plan: TransportPlan, report: DualityReport) -> SlacknessRepo
     support = set(plan.support())
     for i, xn in enumerate(x_nodes):
         for j, wn in enumerate(w_nodes):
-            b = report.b_table[xn][wn]
+            b = Fraction(int(report.b_ints[xn, wn]), report.b_denom)
             if b < 0:
                 bad.append((i, j, b, "feasibility"))
             if (i, j) in support and b != 0:

@@ -76,6 +76,64 @@ def brute_critical_node_words(d: int, k: int,
                      for e in cyc)
 
 
+def simple_cycles_in(edge_set, g, limit: int) -> list[tuple[int, ...]]:
+    """All node-simple cycles using only the given edges of graph g,
+    each rotated to start at its smallest edge index, sorted by (length,
+    edges), by a recursive depth-first search; raises ValueError past
+    `limit` cycles."""
+    out: dict[int, list[int]] = {}
+    for e in sorted(edge_set):
+        out.setdefault(g.source(e), []).append(e)
+    found: set[tuple[int, ...]] = set()
+
+    for start in sorted(out):
+        # cycles whose smallest node is `start`
+        path_edges: list[int] = []
+        on_path = {start}
+
+        def dfs(v: int) -> None:
+            for e in out.get(v, ()):
+                t = g.target(e)
+                if t < start:
+                    continue
+                if t == start:
+                    cyc = tuple(path_edges) + (e,)
+                    i = cyc.index(min(cyc))
+                    found.add(cyc[i:] + cyc[:i])
+                    if len(found) > limit:
+                        raise ValueError(f"more than {limit} cycles")
+                elif t not in on_path:
+                    on_path.add(t)
+                    path_edges.append(e)
+                    dfs(t)
+                    path_edges.pop()
+                    on_path.remove(t)
+
+        dfs(start)
+    return sorted(found, key=lambda c: (len(c), c))
+
+
+def de_bruijn_word(order: int) -> Word:
+    """Binary de Bruijn sequence of the given order (Lyndon words): its
+    2^order cyclic windows of that length are all distinct, so it spells
+    a Hamiltonian cycle of the depth-(order + 1) graph."""
+    a, seq = [0] * (order + 1), []
+
+    def gen(t, p):
+        if t > order:
+            if order % p == 0:
+                seq.extend(a[1:p + 1])
+        else:
+            a[t] = a[t - p]
+            gen(t + 1, p)
+            if a[t - p] == 0:
+                a[t] = 1
+                gen(t + 1, t)
+
+    gen(1, 1)
+    return tuple(seq)
+
+
 def brute_best_permutation_cost(cost: list[list[Fraction]]) -> Fraction:
     """Minimal coupling cost over permutations, as the plain average —
     the reference value for uniform-marginal transport."""

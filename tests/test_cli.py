@@ -1,11 +1,40 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
+from oracles import de_bruijn_word
 from shiftopt.cli import main
 from shiftopt.potentials import (LocallyConstantPotential, canonical_a2,
                                  constant, leplaideur_member, save_potential)
 
 F = Fraction
+
+
+def _windows(word, k):
+    p = len(word)
+    return {tuple(word[(i + t) % p] for t in range(k)) for i in range(p)}
+
+
+def _hamiltonian(k):
+    """0 on the windows of a de Bruijn cycle, -1 elsewhere: its unique
+    maximizing orbit visits all 2^(k-1) nodes."""
+    edges = _windows(de_bruijn_word(k - 1), k)
+    return LocallyConstantPotential(2, k, tuple(
+        F(0) if w in edges else F(-1)
+        for w in itertools.product((0, 1), repeat=k)))
+
+
+def _planted(rng, k, word):
+    """Random values, with the windows of `word` (a simple cycle) raised
+    above all of them: the word spells the unique maximizing orbit."""
+    values = [F(rng.randrange(-16, 17), rng.choice((1, 2, 4, 8)))
+              for _ in range(2 ** k)]
+    top = max(values) + F(1, 16)
+    edges = _windows(word, k)
+    return LocallyConstantPotential(2, k, tuple(
+        top if w in edges else v
+        for w, v in zip(itertools.product((0, 1), repeat=k), values)))
 
 
 def _fixtures(tmp_path):
@@ -77,6 +106,29 @@ def test_analyze_non_unique_exits_3(tmp_path, capsys):
     assert err.startswith("precondition not met:")
 
 
+def test_analyze_non_unique_names_critical_classes(tmp_path, capsys):
+    p = _fixtures(tmp_path)
+    code, out, _ = run(capsys, ["analyze", p["const"]])
+    assert code == 3
+    assert ("[maxplus] critical edges: 4, critical nodes: 2, "
+            "critical classes: 1") in out.splitlines()
+    code, out, _ = run(capsys, ["analyze", p["a2"]])
+    assert code == 0
+    assert ("[maxplus] critical edges: 2, critical nodes: 2, orbits: 1"
+            in out.splitlines())
+
+
+def test_analyze_hamiltonian_d11_names_the_report_limit(tmp_path, capsys):
+    # a 1024-edge maximizing orbit once overflowed the recursive orbit
+    # enumeration with a RecursionError
+    path = tmp_path / "ham11.pot"
+    save_potential(_hamiltonian(11), path)
+    code, out, err = run(capsys, ["analyze", path])
+    assert code == 3 and out == ""
+    assert err == ("precondition not met: duality report is quadratic in "
+                   "nodes; 1024 exceeds 256\n")
+
+
 def test_analyze_three_letters_stops_at_twist(tmp_path, capsys):
     p = _fixtures(tmp_path)
     code, out, err = run(capsys, ["analyze", p["d3"]])
@@ -136,6 +188,17 @@ def test_scan_custom_betas_and_out(tmp_path, capsys):
     assert len(text.splitlines()) == 4
 
 
+def test_scan_constant_depth_6_answers(tmp_path, capsys):
+    # every cycle of the zero potential maximizes; the scan needs only
+    # m and V, and once refused at the orbit-enumeration limit
+    path = tmp_path / "const6.pot"
+    save_potential(constant(2, 6), path)
+    code, out, err = run(capsys, ["scan", path])
+    assert code == 0 and err == ""
+    assert "maximizing mean value m = 0" in out
+    assert "orbit-measure comparison skipped" in out
+
+
 def test_scan_non_unique_drops_tv_column(tmp_path, capsys):
     p = _fixtures(tmp_path)
     code, out, _ = run(capsys, ["scan", p["const"]])
@@ -152,6 +215,20 @@ def test_verify_canonical_all_ok(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", p["a2"]])
     assert code == 0
     assert "[FAIL]" not in out
+    assert out.rstrip().endswith("all identities hold")
+
+
+def test_verify_planted_depth_7_all_ok(tmp_path, capsys):
+    # the double-dual line runs is_coboundary on a coboundary, where
+    # every edge is critical; it once refused at the orbit limit
+    path = tmp_path / "planted7.pot"
+    save_potential(_planted(random.Random(3), 7, (0, 0, 1)), path)
+    code, out, err = run(capsys, ["verify", path])
+    assert code == 0 and err == ""
+    status = [ln for ln in out.splitlines() if ln.startswith("  [")]
+    assert len(status) == 9
+    assert all(ln.startswith("  [ok ]") for ln in status[:-1])
+    assert "double dual returns modulo coboundary" in out
     assert out.rstrip().endswith("all identities hold")
 
 

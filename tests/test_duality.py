@@ -143,6 +143,26 @@ def test_mean_self_dual_and_gamma_constant():
         done += 1
 
 
+def test_b_table_csv_prints_each_entry_as_its_fraction():
+    # the CSV is formatted from the integer table; it must read exactly
+    # as str() of the Fraction view, entry by entry
+    rng = random.Random(233)
+    done = 0
+    while done < 20:
+        d = rng.choice((2, 3))
+        k = rng.randrange(1, 5) if d == 2 else rng.randrange(1, 4)
+        try:
+            rep = build_duality_report(_random_unique(rng, d, k))
+        except PreconditionError:
+            continue
+        body = b_table_csv(rep).splitlines()[1:]
+        assert [ln.split(",", 1)[1] for ln in body] == [
+            ",".join(str(v) for v in row) for row in rep.b_table]
+        assert rep.b_table == tuple(tuple(F(int(v), rep.b_denom) for v in row)
+                                    for row in rep.b_ints)
+        done += 1
+
+
 def test_report_refuses_non_unique():
     with pytest.raises(PreconditionError):
         build_duality_report(constant(2, 2))

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from oracles import (brute_argmax_cycles, brute_critical_edge_words,
-                     brute_critical_node_words, brute_max_mean, orbit_average)
-from shiftopt.errors import PreconditionError
+                     brute_critical_node_words, brute_max_mean, orbit_average,
+                     simple_cycles_in)
+from shiftopt.errors import InvariantViolation, PreconditionError
 from shiftopt.graph import build_de_bruijn
-from shiftopt.maxplus import (analyze, aubry_set, calibrated_subaction,
-                              cycle_word, deviation_at_point, deviation_witness,
+from shiftopt.maxplus import (CriticalStructure, Subaction, analyze, aubry_set,
+                              calibrated_subaction, critical_orbits, cycle_word,
+                              deviation_at_point, deviation_witness,
                               error_function, is_coboundary, mane_potential,
                               max_mean_cycle, min_cost_to_critical,
                               peierls_barrier)
@@ -75,7 +77,7 @@ def test_max_mean_matches_brute_force():
         lib_nodes = frozenset(g.node_word(u) for u in cs.critical_nodes)
         assert lib_nodes == brute_critical_node_words(d, k, table)
         lib_orbits = {frozenset(g.edge_word(e) for e in orbit)
-                      for orbit in cs.orbits}
+                      for orbit in critical_orbits(g, cs)}
         brute_orbits = {frozenset(cyc)
                         for cyc in brute_argmax_cycles(d, k, table)}
         assert lib_orbits == brute_orbits
@@ -89,7 +91,7 @@ def test_orbit_means_are_exact():
         pot = _random_potential(rng, d, k)
         g = _graph(pot)
         cs = max_mean_cycle(g)
-        for orbit in cs.orbits:
+        for orbit in critical_orbits(g, cs):
             word = cycle_word(g, orbit)
             assert orbit_average(word, pot.as_dict()) == cs.mean
 
@@ -112,6 +114,20 @@ def test_subaction_calibrated_everywhere():
         # R vanishes on every critical edge
         assert all(r.values[e] == 0 for e in cs.critical_edges)
         assert v.values[v.anchor] == 0
+
+
+def test_error_function_names_the_failing_edge_or_node():
+    g, cs, v, _ = analyze(canonical_a2())
+    # V raised at node 1: R(01) = 1 - 0 - 0 + 0 stays >= 0, R(10) = -1
+    with pytest.raises(InvariantViolation) as exc:
+        error_function(g, cs, Subaction((F(0), F(1))))
+    assert str(exc.value) == "calibration violated at edge (1, 0): R = -1"
+    # a mean set too high leaves every R > 0: no tight edge enters node 0
+    loose = CriticalStructure(F(1, 3), cs.critical_edges, cs.critical_nodes,
+                              cs.classes, cs.orbits, True, cs.cycle)
+    with pytest.raises(InvariantViolation) as exc:
+        error_function(g, loose, v)
+    assert str(exc.value) == "node (0,) has no tight incoming edge"
 
 
 def test_adding_constants_shifts_mean_not_r():
@@ -251,5 +267,70 @@ def test_min_cost_one_step_principle():
 def test_orbit_limit_guard():
     # the zero potential on 3 letters has many maximizing cycles
     g = build_de_bruijn(3, 2, constant(3, 2))
+    cs = max_mean_cycle(g)
+    assert len(critical_orbits(g, cs)) == 8
     with pytest.raises(PreconditionError):
-        max_mean_cycle(g, orbit_limit=2)
+        critical_orbits(g, cs, limit=2)
+
+
+# -- orbits on demand -------------------------------------------------------
+
+def test_critical_orbits_match_recursive_enumeration():
+    rng = random.Random(61)
+    for _ in range(120):
+        d = rng.choice((2, 3))
+        k = rng.randrange(1, 6) if d == 2 else rng.randrange(1, 4)
+        # few distinct values, so that many cycles tie for the maximum
+        pot = LocallyConstantPotential(d, k, tuple(
+            F(rng.randrange(-1, 2)) for _ in range(d ** k)))
+        g = _graph(pot)
+        cs = max_mean_cycle(g)
+        orbits = critical_orbits(g, cs)
+        assert orbits == tuple(simple_cycles_in(cs.critical_edges, g, 10000))
+        assert cs.orbits == (orbits if cs.unique_maximizer else ())
+        assert cs.unique_maximizer == (len(orbits) == 1)
+
+
+def test_tie_heavy_input_needs_no_enumeration():
+    # every one of the (astronomically many) cycles of the zero
+    # potential maximizes; the critical structure is still immediate
+    g = build_de_bruijn(2, 10, constant(2, 10))
+    cs = max_mean_cycle(g)
+    assert cs.mean == 0 and not cs.unique_maximizer and cs.orbits == ()
+    assert len(cs.critical_edges) == g.n_edges and len(cs.classes) == 1
+    assert sum(g.weights[e] for e in cs.cycle) == 0
+
+
+def test_karp_cycle_attains_the_mean():
+    rng = random.Random(67)
+    for _ in range(60):
+        d = rng.choice((2, 3))
+        pot = _random_potential(rng, d, rng.randrange(1, 5 if d == 2 else 4))
+        g = _graph(pot)
+        cs = max_mean_cycle(g)
+        nodes = [g.source(e) for e in cs.cycle]
+        assert len(set(nodes)) == len(nodes)
+        assert all(g.target(a) == g.source(b)
+                   for a, b in zip(cs.cycle, cs.cycle[1:] + cs.cycle[:1]))
+        assert sum(g.weights[e] for e in cs.cycle) / len(cs.cycle) == cs.mean
+
+
+@pytest.mark.parametrize("size", [10 ** 15, 10 ** 30])
+def test_karp_on_values_past_int64_takes_python_integers(size):
+    # near 10**15 the walk tables stay int64 while the cross-multiplied
+    # ratios of several samples need Python integers; near 10**30 both
+    # run on object arrays.  The oracle shares no arithmetic.
+    rng = random.Random(71)
+    for _ in range(25):
+        d = rng.choice((2, 2, 3))
+        k = rng.randrange(1, 5) if d == 2 else rng.randrange(1, 4)
+        pot = LocallyConstantPotential(d, k, tuple(
+            F(size + rng.randrange(-10 ** 6, 10 ** 6), rng.choice((1, 3, 7)))
+            for _ in range(d ** k)))
+        g = _graph(pot)
+        cs = max_mean_cycle(g)
+        table = pot.as_dict()
+        assert cs.mean == brute_max_mean(d, k, table), (d, k, pot.values)
+        assert (frozenset(g.edge_word(e) for e in cs.critical_edges)
+                == brute_critical_edge_words(d, k, table))
+        assert sum(g.weights[e] for e in cs.cycle) / len(cs.cycle) == cs.mean

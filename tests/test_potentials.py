@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from shiftopt.errors import InvalidInputError, PotentialParseError
+from shiftopt.graph import build_de_bruijn
+from shiftopt.maxplus import cycle_word, max_mean_cycle
 from shiftopt.potentials import (HolderFamilySpec, LocallyConstantPotential,
                                  canonical_a2, coboundary, constant, dumps_potential,
                                  from_dict, holder_seminorm, leplaideur_member,
                                  lift, loads_potential, oscillation,
                                  project_distance_family, projection_error_bound)
-from shiftopt.words import EventuallyPeriodicPoint, periodic_point
+from shiftopt.words import EventuallyPeriodicPoint, periodic_point, word_to_string
 
 F = Fraction
 
@@ -123,6 +125,19 @@ def test_projection_error_bound_shrinks():
                             (periodic_point((0, 1), 2),))
     bounds = [projection_error_bound(spec, k) for k in (2, 4, 6)]
     assert bounds[0] > bounds[1] > bounds[2] > 0
+
+
+@pytest.mark.parametrize("n, k, word", [
+    (1, 3, "011"), (1, 5, "01011"), (1, 7, "01011"), (2, 7, "0101011"),
+    (1, 4, "01"), (1, 6, "01"), (2, 6, "01"), (2, 8, "01"),
+])
+def test_leplaideur_member_maximizer_follows_depth_parity(n, k, word):
+    a = leplaideur_member(n, F(1, 2), k)
+    g = build_de_bruijn(2, k, a)
+    cs = max_mean_cycle(g)
+    assert cs.unique_maximizer
+    assert word_to_string(cycle_word(g, cs.orbits[0])) == word
+    assert (cs.mean == 0) == (k % 2 == 0 or (n, k) in {(1, 5), (2, 7)})
 
 
 def test_leplaideur_member_shape():

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (atom_cost_table, brute_best_permutation_cost,
-                     brute_first_optimal_permutation, lp_transport)
+                     brute_first_optimal_permutation, de_bruijn_word,
+                     lp_transport)
 from shiftopt.duality import build_duality_report
 from shiftopt.errors import InvariantViolation, PreconditionError
 from shiftopt.genericity import perturb_to_unique
@@ -253,27 +254,8 @@ def test_cost_matches_lp_oracle_up_to_twelve_atoms():
             found += 1
 
 
-def _de_bruijn(order):
-    """Binary de Bruijn sequence of the given order (Lyndon words)."""
-    a, seq = [0] * (order + 1), []
-
-    def gen(t, p):
-        if t > order:
-            if order % p == 0:
-                seq.extend(a[1:p + 1])
-        else:
-            a[t] = a[t - p]
-            gen(t + 1, p)
-            if a[t - p] == 0:
-                a[t] = 1
-                gen(t + 1, t)
-
-    gen(1, 1)
-    return tuple(seq)
-
-
 def test_hamiltonian_orbit_256_atoms_under_a_second():
-    word = _de_bruijn(8)
+    word = de_bruijn_word(8)
     assert len(word) == 256
     rep = build_duality_report(_planted(word, 9, random.Random(7)))
     t0 = time.perf_counter()
